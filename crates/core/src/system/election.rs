@@ -211,7 +211,7 @@ impl System {
             .collect();
         for fragment in stale {
             let e = self.elections.remove(&fragment).expect("collected above");
-            self.abort_election(fragment, e.fenced_epoch, "home_alive");
+            self.abort_election(fragment, e.fenced_epoch, keys::ELECTION_ABORT_HOME_ALIVE);
         }
         Vec::new()
     }
@@ -284,7 +284,7 @@ impl System {
         if self.tokens.epoch(fragment) != e.fenced_epoch {
             // An explicit move (or a competing mechanism) re-homed the
             // token while the votes were in flight; the win is void.
-            self.abort_election(fragment, e.fenced_epoch, "superseded");
+            self.abort_election(fragment, e.fenced_epoch, keys::ELECTION_ABORT_SUPERSEDED);
             return Vec::new();
         }
         self.engine.metrics.incr(keys::ELECTION_WON);
@@ -315,17 +315,22 @@ impl System {
             return Vec::new();
         }
         self.elections.remove(&fragment);
-        self.abort_election(fragment, epoch, "timeout");
+        self.abort_election(fragment, epoch, keys::ELECTION_ABORT_TIMEOUT);
         Vec::new()
     }
 
     /// Shared abort bookkeeping (the election has already been removed).
+    /// `reason` is one of [`keys::ELECTION_ABORT_REASONS`].
     pub(crate) fn abort_election(
         &mut self,
         fragment: FragmentId,
         epoch: u64,
         reason: &'static str,
     ) {
+        debug_assert!(
+            keys::election_abort_reason(reason).is_some(),
+            "unregistered election abort reason {reason:?}"
+        );
         self.engine.metrics.incr(keys::ELECTION_ABORTED);
         self.engine.emit(|| TelemetryEvent::ElectionAborted {
             fragment: fragment.0,
@@ -346,11 +351,47 @@ impl System {
             .collect();
         for fragment in dead {
             let e = self.elections.remove(&fragment).expect("collected above");
-            self.abort_election(fragment, e.fenced_epoch, "candidate_crashed");
+            self.abort_election(
+                fragment,
+                e.fenced_epoch,
+                keys::ELECTION_ABORT_CANDIDATE_CRASHED,
+            );
         }
         for e in self.elections.values_mut() {
             e.votes.remove(&node);
         }
         self.granted_votes.retain(|&(_, _, voter), _| voter != node);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fragdb_sim::metrics::keys;
+    use fragdb_sim::{SimTime, TelemetryEvent, TelemetryRecord};
+
+    #[test]
+    fn election_abort_reasons_are_registered_and_decode() {
+        let emitted = [
+            keys::ELECTION_ABORT_TIMEOUT,
+            keys::ELECTION_ABORT_HOME_ALIVE,
+            keys::ELECTION_ABORT_SUPERSEDED,
+            keys::ELECTION_ABORT_CANDIDATE_CRASHED,
+        ];
+        assert_eq!(emitted.as_slice(), keys::ELECTION_ABORT_REASONS);
+        for reason in emitted {
+            let r = TelemetryRecord {
+                at: SimTime(1),
+                event: TelemetryEvent::ElectionAborted {
+                    fragment: 0,
+                    epoch: 2,
+                    reason,
+                },
+            };
+            assert_eq!(
+                TelemetryRecord::from_json_line(&r.to_json_line()),
+                Ok(r),
+                "{reason} must survive the telemetry export"
+            );
+        }
     }
 }

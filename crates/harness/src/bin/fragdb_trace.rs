@@ -8,8 +8,9 @@
 //! 1. a per-fragment ASCII timeline joining each commit to the installs it
 //!    caused (flagging incomplete R-joins);
 //! 2. a lag/staleness/stall summary table from the derived probes;
-//! 3. optionally a JSON-lines export of the raw event log (hand-rolled,
-//!    no serde), which `--validate` schema-checks.
+//! 3. optionally a JSON-lines export of the raw event log, which
+//!    `--validate` checks with the telemetry decoder
+//!    (`fragdb_sim::telemetry`, the one wire codec).
 //!
 //! The run fails (exit 1) if any emitted metric key is missing from the
 //! `fragdb_sim::metrics::keys` registry — CI uses this as the telemetry

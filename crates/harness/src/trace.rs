@@ -22,8 +22,9 @@
 //!
 //! A [`TraceRun`] captures the full structured event log plus the derived
 //! probe metrics; the renderers turn it into a per-fragment causality
-//! timeline, a lag/staleness summary table, and a JSON-lines export with a
-//! hand-rolled schema validator (no serde in this offline build).
+//! timeline, a lag/staleness summary table, and a JSON-lines export whose
+//! validator is the telemetry decoder itself (`fragdb_sim::telemetry`
+//! owns the wire form).
 
 use std::collections::BTreeMap;
 
@@ -32,6 +33,7 @@ use fragdb_core::{MovePolicy, Submission, System, SystemConfig};
 use fragdb_model::{AgentId, FragmentCatalog, FragmentId, NodeId, ObjectId};
 use fragdb_net::{FaultConfig, FaultPlan, Topology};
 use fragdb_sim::metrics::{keys, Metrics};
+use fragdb_sim::telemetry;
 use fragdb_sim::{CausalId, SimDuration, SimTime, Telemetry, TelemetryEvent, TelemetryRecord};
 
 use crate::configs;
@@ -602,18 +604,15 @@ pub fn render_summary(run: &TraceRun) -> String {
     out
 }
 
-/// Render the run as JSON lines (scenario header comment, drop marker when
-/// the buffer wrapped, then one flat object per event).
+/// Render the run as JSON lines: a scenario header comment, then the
+/// telemetry export ([`fragdb_sim::telemetry::render_jsonl`]).
 pub fn render_jsonl(run: &TraceRun) -> String {
-    let mut out = format!("# scenario: {} section: {}\n", run.scenario, run.section);
-    if run.dropped > 0 {
-        out.push_str(&format!("# {} earlier events dropped\n", run.dropped));
-    }
-    for r in &run.records {
-        out.push_str(&r.to_json_line());
-        out.push('\n');
-    }
-    out
+    format!(
+        "# scenario: {} section: {}\n{}",
+        run.scenario,
+        run.section,
+        telemetry::render_jsonl(&run.records, run.dropped)
+    )
 }
 
 /// Metric keys present in `metrics` that the registry does not know.
@@ -631,175 +630,42 @@ pub fn unregistered_metric_keys(metrics: &Metrics) -> Vec<String> {
 
 // ---- JSONL validation ----------------------------------------------------
 
-/// Every event name the exporter can emit, with the fields each requires
-/// (beyond `at_micros` and `event`). The schema is flat by construction.
-const EVENT_SCHEMA: &[(&str, &[&str])] = &[
-    ("initiated", &["node", "fragment", "txn_seq"]),
-    (
-        "lock_wait_started",
-        &["node", "fragment", "txn_seq", "sites"],
-    ),
-    ("lock_granted", &["node", "fragment", "txn_seq"]),
-    (
-        "committed",
-        &["fragment", "epoch", "frag_seq", "node", "txn_seq"],
-    ),
-    (
-        "broadcast_sent",
-        &["fragment", "epoch", "frag_seq", "node", "recipients"],
-    ),
-    ("installed", &["fragment", "epoch", "frag_seq", "node"]),
-    ("aborted", &["node", "fragment", "txn_seq", "reason"]),
-    (
-        "read_observed",
-        &["node", "fragment", "seen_seq", "agent_seq"],
-    ),
-    (
-        "held_back",
-        &["fragment", "epoch", "frag_seq", "node", "depth"],
-    ),
-    ("submission_queued", &["fragment", "depth"]),
-    ("move_requested", &["fragment", "from", "to"]),
-    ("token_arrived", &["fragment", "node"]),
-    ("move_aborted", &["fragment", "from", "to"]),
-    ("dropped", &["from", "to", "count"]),
-    ("retransmit", &["from", "to", "count"]),
-    ("delivered", &["from", "to", "kind"]),
-    ("crash", &["node"]),
-    ("recover", &["node", "behind_fragments"]),
-    ("catchup_complete", &["node"]),
-    ("suspect_raised", &["node", "suspect"]),
-    ("election_started", &["fragment", "epoch", "candidate"]),
-    ("election_won", &["fragment", "epoch", "node"]),
-    ("election_aborted", &["fragment", "epoch", "reason"]),
-    ("token_recovered", &["fragment", "epoch", "node"]),
-    (
-        "batch_discarded",
-        &["fragment", "epoch", "frag_seq", "node"],
-    ),
-    (
-        "replica_set_changed",
-        &["fragment", "from_count", "to_count"],
-    ),
-];
-
 /// Summary statistics from a validated JSONL export.
 pub struct JsonlStats {
     /// Event lines (comments excluded).
     pub events: usize,
     /// Count per event name.
-    pub by_event: BTreeMap<String, usize>,
+    pub by_event: BTreeMap<&'static str, usize>,
 }
 
-/// Parse one flat JSON object of string/number fields. Hand-rolled: the
-/// exporter only ever writes `{"k":123,"k":"str",…}` with no nesting.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "line is not a {...} object".to_string())?;
-    let mut fields = BTreeMap::new();
-    let mut rest = inner;
-    while !rest.is_empty() {
-        let key_start = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected quoted key at: {rest}"))?;
-        let key_end = key_start
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
-        let key = &key_start[..key_end];
-        let after_key = key_start[key_end + 1..]
-            .strip_prefix(':')
-            .ok_or_else(|| format!("missing ':' after key {key}"))?;
-        let (value, remainder) = if let Some(sq) = after_key.strip_prefix('"') {
-            // String value; exporter escapes only '"' and '\'.
-            let mut end = None;
-            let mut prev_backslash = false;
-            for (i, c) in sq.char_indices() {
-                if prev_backslash {
-                    prev_backslash = false;
-                } else if c == '\\' {
-                    prev_backslash = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end.ok_or_else(|| format!("unterminated string for key {key}"))?;
-            (sq[..end].to_string(), &sq[end + 1..])
-        } else {
-            let end = after_key.find(',').unwrap_or(after_key.len());
-            let raw = &after_key[..end];
-            if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(format!(
-                    "field {key} is neither a string nor a number: {raw}"
-                ));
-            }
-            (raw.to_string(), &after_key[end..])
-        };
-        if fields.insert(key.to_string(), value).is_some() {
-            return Err(format!("duplicate field {key}"));
-        }
-        rest = match remainder.strip_prefix(',') {
-            Some(r) => r,
-            None if remainder.is_empty() => remainder,
-            None => return Err(format!("trailing garbage after field {key}: {remainder}")),
-        };
-    }
-    Ok(fields)
-}
-
-/// Validate a JSONL export against the hand-rolled event schema: every
-/// non-comment line must be a flat object with `at_micros` (numeric,
-/// non-decreasing) and a known `event` carrying exactly its schema fields.
+/// Validate a JSONL export: every non-comment line must decode with
+/// [`TelemetryRecord::from_json_line`] (exactly what the exporter emits),
+/// and `at_micros` must not decrease within a `# scenario:` segment.
 pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
-    let schema: BTreeMap<&str, &[&str]> = EVENT_SCHEMA.iter().copied().collect();
     let mut stats = JsonlStats {
         events: 0,
         by_event: BTreeMap::new(),
     };
-    let mut last_at: u64 = 0;
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.starts_with('#') || line.is_empty() {
-            // A new scenario segment restarts virtual time.
-            if line.starts_with("# scenario:") {
-                last_at = 0;
-            }
+    let mut last_at = SimTime::ZERO;
+    for (n, line) in (1..).zip(text.lines()) {
+        // A new scenario segment restarts virtual time.
+        if line.starts_with("# scenario:") {
+            last_at = SimTime::ZERO;
+        }
+        if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let fields = parse_flat_object(line).map_err(|e| format!("line {n}: {e}"))?;
-        let at: u64 = fields
-            .get("at_micros")
-            .ok_or_else(|| format!("line {n}: missing at_micros"))?
-            .parse()
-            .map_err(|_| format!("line {n}: at_micros is not numeric"))?;
-        if at < last_at {
+        let r = TelemetryRecord::from_json_line(line).map_err(|e| format!("line {n}: {e}"))?;
+        if r.at < last_at {
             return Err(format!(
-                "line {n}: at_micros {at} decreases (previous {last_at})"
+                "line {n}: at_micros {} decreases (previous {})",
+                r.at.micros(),
+                last_at.micros()
             ));
         }
-        last_at = at;
-        let event = fields
-            .get("event")
-            .ok_or_else(|| format!("line {n}: missing event"))?;
-        let required = schema
-            .get(event.as_str())
-            .ok_or_else(|| format!("line {n}: unknown event {event:?}"))?;
-        for &f in *required {
-            if !fields.contains_key(f) {
-                return Err(format!("line {n}: event {event:?} missing field {f:?}"));
-            }
-        }
-        let expected = required.len() + 2; // + at_micros + event
-        if fields.len() != expected {
-            return Err(format!(
-                "line {n}: event {event:?} has {} fields, schema says {expected}",
-                fields.len()
-            ));
-        }
+        last_at = r.at;
         stats.events += 1;
-        *stats.by_event.entry(event.clone()).or_insert(0) += 1;
+        *stats.by_event.entry(r.event.name()).or_insert(0) += 1;
     }
     if stats.events == 0 {
         return Err("no event lines".to_string());
@@ -862,6 +728,15 @@ mod tests {
         assert!(
             validate_jsonl("{\"at_micros\":1,\"event\":\"crash\",\"node\":2,\"x\":3}").is_err()
         );
+        // A duplicated field.
+        assert!(
+            validate_jsonl("{\"at_micros\":1,\"event\":\"crash\",\"node\":2,\"node\":2}").is_err()
+        );
+        // An abort reason no code path produces.
+        assert!(validate_jsonl(
+            "{\"at_micros\":1,\"event\":\"aborted\",\"node\":1,\"fragment\":3,\"txn_seq\":0,\"reason\":\"node_down\"}"
+        )
+        .is_err());
         // Time going backwards.
         let two = "{\"at_micros\":5,\"event\":\"crash\",\"node\":1}\n{\"at_micros\":4,\"event\":\"crash\",\"node\":1}";
         assert!(validate_jsonl(two).is_err());

@@ -18,81 +18,127 @@
 //!   whose output is byte-identical for a given seed.
 //!
 //! Reconstruction is a pure function of the event stream: feeding the
-//! in-memory records and feeding the parsed JSONL export of the same
-//! run produce identical reports ([`SpanReport::from_records`] /
+//! in-memory records and feeding the JSONL export of the same run
+//! (decoded by `fragdb_sim::telemetry::parse_jsonl`, the one wire codec)
+//! produce identical reports ([`SpanReport::from_records`] /
 //! [`SpanReport::from_jsonl`]). Ring-evicted commits surface as
 //! explicit [`span::SpanStatus::Truncated`] spans — counted, never
 //! silently dropped.
 
 pub mod critical;
-pub mod event;
 pub mod span;
 
 pub use critical::{attribution_table, folded, span_lines, validate_folded};
-pub use event::{parse_jsonl, ObsEvent, ObsRecord};
 pub use span::{CommitSpan, InstallLeg, QueueAttr, SpanReport, SpanStatus};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fragdb_sim::Metrics;
+    use fragdb_sim::telemetry::render_jsonl;
+    use fragdb_sim::{CausalId, Metrics, SimTime, TelemetryEvent as E, TelemetryRecord};
 
-    fn line(at: u64, body: &str) -> String {
-        format!("{{\"at_micros\":{at},{body}}}")
+    fn rec(at: u64, event: E) -> TelemetryRecord {
+        TelemetryRecord {
+            at: SimTime(at),
+            event,
+        }
+    }
+
+    fn cause(fragment: u32, epoch: u64, frag_seq: u64) -> CausalId {
+        CausalId {
+            fragment,
+            epoch,
+            frag_seq,
+        }
+    }
+
+    /// Streams are typed records rendered by the telemetry encoder, so
+    /// they hold only lines the program can emit.
+    fn export(records: &[TelemetryRecord]) -> String {
+        render_jsonl(records, 0)
     }
 
     /// A hand-built stream: one queued+locked commit to 2 replicas with
     /// one retransmitted leg, plus one truncated install.
     fn sample_stream() -> String {
-        let l = vec![
-            line(10, "\"event\":\"submission_queued\",\"fragment\":7"),
-            line(
+        let c = cause(7, 1, 5);
+        export(&[
+            rec(
+                10,
+                E::SubmissionQueued {
+                    fragment: 7,
+                    depth: 1,
+                },
+            ),
+            rec(
                 40,
-                "\"event\":\"initiated\",\"node\":0,\"fragment\":7,\"txn_seq\":3",
+                E::Initiated {
+                    node: 0,
+                    fragment: 7,
+                    txn_seq: 3,
+                },
             ),
-            line(
+            rec(
                 41,
-                "\"event\":\"lock_wait_started\",\"node\":0,\"fragment\":7,\"txn_seq\":3,\"sites\":2",
+                E::LockWaitStarted {
+                    node: 0,
+                    fragment: 7,
+                    txn_seq: 3,
+                    sites: 2,
+                },
             ),
-            line(
+            rec(
                 55,
-                "\"event\":\"lock_granted\",\"node\":0,\"fragment\":7,\"txn_seq\":3",
+                E::LockGranted {
+                    node: 0,
+                    fragment: 7,
+                    txn_seq: 3,
+                },
             ),
-            line(
+            rec(
                 60,
-                "\"event\":\"committed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":0,\"txn_seq\":3",
+                E::Committed {
+                    cause: c,
+                    node: 0,
+                    txn_seq: 3,
+                },
             ),
-            line(
+            rec(
                 60,
-                "\"event\":\"broadcast_sent\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":0,\"recipients\":2",
+                E::BroadcastSent {
+                    cause: c,
+                    node: 0,
+                    recipients: 2,
+                },
             ),
-            line(
-                60,
-                "\"event\":\"installed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":0",
-            ),
-            line(
+            rec(60, E::Installed { cause: c, node: 0 }),
+            rec(
                 70,
-                "\"event\":\"retransmit\",\"from\":0,\"to\":2,\"count\":1",
+                E::Retransmit {
+                    from: 0,
+                    to: 2,
+                    count: 1,
+                },
             ),
-            line(
-                80,
-                "\"event\":\"installed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":1",
-            ),
-            line(
+            rec(80, E::Installed { cause: c, node: 1 }),
+            rec(
                 90,
-                "\"event\":\"held_back\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":2,\"depth\":1",
+                E::HeldBack {
+                    cause: c,
+                    node: 2,
+                    depth: 1,
+                },
             ),
-            line(
-                95,
-                "\"event\":\"installed\",\"fragment\":7,\"epoch\":1,\"frag_seq\":5,\"node\":2",
-            ),
+            rec(95, E::Installed { cause: c, node: 2 }),
             // Truncated: an install whose commit was ring-evicted.
-            line(
+            rec(
                 99,
-                "\"event\":\"installed\",\"fragment\":2,\"epoch\":0,\"frag_seq\":1,\"node\":4",
+                E::Installed {
+                    cause: cause(2, 0, 1),
+                    node: 4,
+                },
             ),
-        ];
-        l.join("\n") + "\n"
+        ])
     }
 
     #[test]
@@ -171,23 +217,47 @@ mod tests {
     fn abort_before_initiation_retires_the_queue_slot() {
         // Two submissions queue on fragment 3; the first aborts without
         // ever initiating (home crash drain), the second commits.
-        let l = [
-            line(5, "\"event\":\"submission_queued\",\"fragment\":3"),
-            line(9, "\"event\":\"submission_queued\",\"fragment\":3"),
-            line(
+        let text = export(&[
+            rec(
+                5,
+                E::SubmissionQueued {
+                    fragment: 3,
+                    depth: 1,
+                },
+            ),
+            rec(
+                9,
+                E::SubmissionQueued {
+                    fragment: 3,
+                    depth: 2,
+                },
+            ),
+            rec(
                 20,
-                "\"event\":\"aborted\",\"node\":1,\"fragment\":3,\"txn_seq\":0,\"reason\":\"node_down\"",
+                E::Aborted {
+                    node: 1,
+                    fragment: 3,
+                    txn_seq: 0,
+                    reason: "unavailable",
+                },
             ),
-            line(
+            rec(
                 30,
-                "\"event\":\"initiated\",\"node\":1,\"fragment\":3,\"txn_seq\":1",
+                E::Initiated {
+                    node: 1,
+                    fragment: 3,
+                    txn_seq: 1,
+                },
             ),
-            line(
+            rec(
                 44,
-                "\"event\":\"committed\",\"fragment\":3,\"epoch\":0,\"frag_seq\":0,\"node\":1,\"txn_seq\":1",
+                E::Committed {
+                    cause: cause(3, 0, 0),
+                    node: 1,
+                    txn_seq: 1,
+                },
             ),
-        ];
-        let text = l.join("\n") + "\n";
+        ]);
         let report = SpanReport::from_jsonl(&text).unwrap();
         let s = &report.spans[0];
         // The surviving commit pairs with the SECOND queue entry (9→30),
@@ -198,31 +268,65 @@ mod tests {
 
     #[test]
     fn queue_wait_overlapping_election_window_is_attributed() {
-        let l = [
-            line(5, "\"event\":\"submission_queued\",\"fragment\":1"),
-            line(
+        let text = export(&[
+            rec(
+                5,
+                E::SubmissionQueued {
+                    fragment: 1,
+                    depth: 1,
+                },
+            ),
+            rec(
                 10,
-                "\"event\":\"election_started\",\"fragment\":1,\"candidate\":2,\"epoch\":1",
+                E::ElectionStarted {
+                    fragment: 1,
+                    epoch: 1,
+                    candidate: 2,
+                },
             ),
-            line(
+            rec(
                 90,
-                "\"event\":\"token_recovered\",\"fragment\":1,\"node\":2,\"epoch\":2,\"frag_seq\":0",
+                E::TokenRecovered {
+                    fragment: 1,
+                    epoch: 2,
+                    node: 2,
+                },
             ),
-            line(
+            rec(
                 100,
-                "\"event\":\"initiated\",\"node\":2,\"fragment\":1,\"txn_seq\":0",
+                E::Initiated {
+                    node: 2,
+                    fragment: 1,
+                    txn_seq: 0,
+                },
             ),
-            line(
+            rec(
                 110,
-                "\"event\":\"committed\",\"fragment\":1,\"epoch\":2,\"frag_seq\":1,\"node\":2,\"txn_seq\":0",
+                E::Committed {
+                    cause: cause(1, 2, 1),
+                    node: 2,
+                    txn_seq: 0,
+                },
             ),
-        ];
-        let report = SpanReport::from_jsonl(&(l.join("\n") + "\n")).unwrap();
+        ]);
+        let report = SpanReport::from_jsonl(&text).unwrap();
         let s = &report.spans[0];
         assert_eq!(s.queue_attr, QueueAttr::Election);
         assert_eq!(s.queue_us, 95);
         let f = folded(&report);
         assert!(f.contains("commit;queue;election 95\n"));
+    }
+
+    #[test]
+    fn replay_rejects_lines_the_program_never_emits() {
+        // A queue entry without its depth field.
+        let text = "{\"at_micros\":10,\"event\":\"submission_queued\",\"fragment\":7}\n";
+        assert!(SpanReport::from_jsonl(text).is_err());
+        assert!(SpanReport::from_jsonl("{\"at_micros\":1,\"event\":\"mystery\"}\n").is_err());
+        // Comments and blank lines are skipped.
+        assert!(SpanReport::from_jsonl("# 3 earlier events dropped\n\n")
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

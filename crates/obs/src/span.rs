@@ -30,9 +30,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use fragdb_sim::metrics::keys;
-use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryRecord};
-
-use crate::event::{ObsEvent, ObsRecord};
+use fragdb_sim::telemetry::parse_jsonl;
+use fragdb_sim::{CausalId, Metrics, QuantileSketch, TelemetryEvent, TelemetryRecord};
 
 /// What the queue wait of a span was actually waiting on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,6 +144,19 @@ struct SpanBuild {
     queue_interval: Option<(u64, u64)>,
 }
 
+impl SpanBuild {
+    /// The build for `cause`, started on its first event.
+    fn of(builds: &mut BTreeMap<CausalId, SpanBuild>, cause: CausalId) -> &mut SpanBuild {
+        builds.entry(cause).or_insert_with(|| SpanBuild {
+            span: CommitSpan::new(cause),
+            arrived: BTreeMap::new(),
+            installed: BTreeMap::new(),
+            discarded: false,
+            queue_interval: None,
+        })
+    }
+}
+
 /// Aggregated reconstruction output over one event stream.
 pub struct SpanReport {
     /// Every reconstructed span, ordered by causal id.
@@ -213,31 +225,20 @@ impl Windows {
 impl SpanReport {
     /// Reconstruct from the in-memory typed stream.
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TelemetryRecord>) -> SpanReport {
-        Self::reconstruct(records.into_iter().filter_map(ObsRecord::from_telemetry))
-    }
-
-    /// Reconstruct from a JSONL export — same output as
-    /// [`SpanReport::from_records`] over the run that produced it.
-    pub fn from_jsonl(text: &str) -> Result<SpanReport, String> {
-        Ok(Self::reconstruct(
-            crate::event::parse_jsonl(text)?.into_iter(),
-        ))
-    }
-
-    fn reconstruct(records: impl Iterator<Item = ObsRecord>) -> SpanReport {
         let mut pre = PreCommit::default();
         let mut win = Windows::default();
         let mut retrans: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
         let mut builds: BTreeMap<CausalId, SpanBuild> = BTreeMap::new();
         let mut end_at = 0u64;
 
-        for ObsRecord { at, ev } in records {
+        for r in records {
+            let at = r.at.micros();
             end_at = end_at.max(at);
-            match ev {
-                ObsEvent::Queued { fragment } => {
+            match r.event {
+                TelemetryEvent::SubmissionQueued { fragment, .. } => {
                     pre.queued.entry(fragment).or_default().push_back(at);
                 }
-                ObsEvent::Initiated {
+                TelemetryEvent::Initiated {
                     node,
                     fragment,
                     txn_seq,
@@ -256,18 +257,19 @@ impl SpanReport {
                         },
                     );
                 }
-                ObsEvent::LockWaitStarted { node, txn_seq } => {
+                TelemetryEvent::LockWaitStarted { node, txn_seq, .. } => {
                     pre.lock_open.insert((node, txn_seq), at);
                 }
-                ObsEvent::LockGranted { node, txn_seq } => {
+                TelemetryEvent::LockGranted { node, txn_seq, .. } => {
                     if let Some(t0) = pre.lock_open.remove(&(node, txn_seq)) {
                         pre.lock_done.insert((node, txn_seq), (t0, at));
                     }
                 }
-                ObsEvent::Aborted {
+                TelemetryEvent::Aborted {
                     node,
                     fragment,
                     txn_seq,
+                    ..
                 } => {
                     pre.lock_open.remove(&(node, txn_seq));
                     pre.lock_done.remove(&(node, txn_seq));
@@ -281,18 +283,12 @@ impl SpanReport {
                         }
                     }
                 }
-                ObsEvent::Committed {
+                TelemetryEvent::Committed {
                     cause,
                     node,
                     txn_seq,
                 } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
+                    let b = SpanBuild::of(&mut builds, cause);
                     b.span.commit_node = Some(node);
                     b.span.committed_at = Some(at);
                     if let Some((t0, t1)) = pre.lock_done.remove(&(node, txn_seq)) {
@@ -308,83 +304,66 @@ impl SpanReport {
                         debug_assert_eq!(init.fragment, cause.fragment);
                     }
                 }
-                ObsEvent::BroadcastSent { cause, recipients } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.span.recipients = Some(recipients);
+                TelemetryEvent::BroadcastSent {
+                    cause, recipients, ..
+                } => {
+                    SpanBuild::of(&mut builds, cause).span.recipients = Some(recipients);
                 }
-                ObsEvent::HeldBack { cause, node } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.arrived.entry(node).or_insert(at);
+                TelemetryEvent::HeldBack { cause, node, .. } => {
+                    SpanBuild::of(&mut builds, cause)
+                        .arrived
+                        .entry(node)
+                        .or_insert(at);
                 }
-                ObsEvent::Installed { cause, node } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.installed.entry(node).or_insert(at);
+                TelemetryEvent::Installed { cause, node } => {
+                    SpanBuild::of(&mut builds, cause)
+                        .installed
+                        .entry(node)
+                        .or_insert(at);
                 }
-                ObsEvent::BatchDiscarded { cause } => {
-                    let b = builds.entry(cause).or_insert_with(|| SpanBuild {
-                        span: CommitSpan::new(cause),
-                        arrived: BTreeMap::new(),
-                        installed: BTreeMap::new(),
-                        discarded: false,
-                        queue_interval: None,
-                    });
-                    b.discarded = true;
+                TelemetryEvent::BatchDiscarded { cause, .. } => {
+                    SpanBuild::of(&mut builds, cause).discarded = true;
                 }
-                ObsEvent::Retransmit { from, to } => {
+                TelemetryEvent::Retransmit { from, to, .. } => {
                     retrans.entry((from, to)).or_default().push(at);
                 }
-                ObsEvent::MoveRequested { fragment, .. } => {
+                TelemetryEvent::MoveRequested { fragment, .. } => {
                     win.open_move.entry(fragment).or_insert(at);
                 }
-                ObsEvent::TokenArrived { fragment } => {
+                TelemetryEvent::TokenArrived { fragment, .. }
+                | TelemetryEvent::MoveAborted { fragment, .. } => {
                     if let Some(t0) = win.open_move.remove(&fragment) {
                         win.moves.entry(fragment).or_default().push((t0, at));
                     }
                 }
-                ObsEvent::MoveAborted { fragment, .. } => {
-                    if let Some(t0) = win.open_move.remove(&fragment) {
-                        win.moves.entry(fragment).or_default().push((t0, at));
-                    }
-                }
-                ObsEvent::ElectionStarted { fragment } => {
+                TelemetryEvent::ElectionStarted { fragment, .. } => {
                     win.open_elec.entry(fragment).or_insert(at);
                 }
-                ObsEvent::TokenRecovered { fragment } => {
+                TelemetryEvent::TokenRecovered { fragment, .. } => {
                     if let Some(t0) = win.open_elec.remove(&fragment) {
                         win.elecs.entry(fragment).or_default().push((t0, at));
                     }
                 }
-                ObsEvent::ElectionAborted {
+                TelemetryEvent::ElectionAborted {
                     fragment,
-                    home_alive,
+                    reason: keys::ELECTION_ABORT_HOME_ALIVE,
+                    ..
                 } => {
-                    if home_alive {
-                        win.open_elec.remove(&fragment);
-                    }
+                    win.open_elec.remove(&fragment);
                 }
+                _ => {}
             }
         }
 
         win.close_open(end_at);
         Self::finalize(builds, &win, &retrans)
+    }
+
+    /// Reconstruct from a JSONL export — same output as
+    /// [`SpanReport::from_records`] over the run that produced it. Fails
+    /// on any line the telemetry decoder rejects.
+    pub fn from_jsonl(text: &str) -> Result<SpanReport, String> {
+        Ok(Self::from_records(&parse_jsonl(text)?))
     }
 
     fn finalize(

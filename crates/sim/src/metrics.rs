@@ -238,6 +238,24 @@ pub mod keys {
         "vote",
     ];
 
+    /// Election abort reason: the round's patience ran out.
+    pub const ELECTION_ABORT_TIMEOUT: &str = "timeout";
+    /// Election abort reason: the suspected home answered mid-election.
+    pub const ELECTION_ABORT_HOME_ALIVE: &str = "home_alive";
+    /// Election abort reason: something else re-homed the token while the
+    /// votes were in flight.
+    pub const ELECTION_ABORT_SUPERSEDED: &str = "superseded";
+    /// Election abort reason: the candidate crashed.
+    pub const ELECTION_ABORT_CANDIDATE_CRASHED: &str = "candidate_crashed";
+    /// Every election abort reason (the `reason` word of the
+    /// `election_aborted` telemetry event).
+    pub const ELECTION_ABORT_REASONS: &[&str] = &[
+        ELECTION_ABORT_TIMEOUT,
+        ELECTION_ABORT_HOME_ALIVE,
+        ELECTION_ABORT_SUPERSEDED,
+        ELECTION_ABORT_CANDIDATE_CRASHED,
+    ];
+
     /// Probe suffixes of the `frag.<f>.<probe>` dimension.
     pub const FRAG_PROBES: &[&str] = &[
         "lag",
@@ -262,6 +280,24 @@ pub mod keys {
         "retransmit",
         "holdback",
     ];
+
+    /// The registered abort reason spelled `word`: the suffix of one of
+    /// the `abort.<reason>` keys.
+    pub fn abort_reason(word: &str) -> Option<&'static str> {
+        ALL.iter()
+            .find_map(|&k| k.strip_prefix("abort.").filter(|&r| r == word))
+    }
+
+    /// The registered message kind spelled `word` (see [`MSG_KINDS`]).
+    pub fn msg_kind(word: &str) -> Option<&'static str> {
+        MSG_KINDS.iter().copied().find(|&k| k == word)
+    }
+
+    /// The registered election abort reason spelled `word` (see
+    /// [`ELECTION_ABORT_REASONS`]).
+    pub fn election_abort_reason(word: &str) -> Option<&'static str> {
+        ELECTION_ABORT_REASONS.iter().copied().find(|&r| r == word)
+    }
 
     /// Whether `key` is `<prefix><digits>.<suffix>` for one of `suffixes`
     /// (the prefix includes its trailing dot, e.g. `"frag."`).
@@ -363,6 +399,20 @@ pub mod keys {
             assert!(!is_registered("alloc.bogus"));
             assert!(!is_registered("node.3.replica_count"));
             assert!(!is_registered("frag.x.replica_count"));
+        }
+
+        #[test]
+        fn telemetry_words_map_back_to_their_registered_spelling() {
+            assert_eq!(abort_reason("unavailable"), Some("unavailable"));
+            assert_eq!(abort_reason("undeclared_class"), Some("undeclared_class"));
+            assert_eq!(abort_reason("node_down"), None);
+            assert_eq!(abort_reason("abort.logic"), None);
+            assert_eq!(msg_kind("quasi"), Some("quasi"));
+            assert_eq!(msg_kind("bogus"), None);
+            for r in ELECTION_ABORT_REASONS {
+                assert_eq!(election_abort_reason(r), Some(*r));
+            }
+            assert_eq!(election_abort_reason("unavailable"), None);
         }
 
         #[test]

@@ -19,15 +19,23 @@
 //! * everything is deterministic: the event log for a seeded run is
 //!   byte-for-byte reproducible.
 //!
+//! This module is also the only place that knows the JSON-lines wire form
+//! (no serde in this offline build). Each event's wire name and field list
+//! are declared once, in the [`TelemetryEvent`] table; the encoder
+//! ([`TelemetryRecord::to_json_line`], [`render_jsonl`]) and the strict
+//! decoder ([`TelemetryRecord::from_json_line`], [`parse_jsonl`]) are
+//! generated from it.
+//!
 //! On top of the raw stream, [`Probes`] derives online measurements and
 //! publishes them as dimensioned [`Metrics`] keys (`frag.<f>.lag`,
 //! `node.<n>.staleness`, …) through an interning cache so steady-state
 //! observation allocates nothing.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 
 use crate::histogram::QuantileSketch;
-use crate::metrics::Metrics;
+use crate::metrics::{keys, Metrics};
 use crate::time::SimTime;
 
 /// Causal identity of a quasi-transaction: the fragment it updates, the
@@ -45,285 +53,441 @@ pub struct CausalId {
     pub frag_seq: u64,
 }
 
-/// One structured telemetry event.
-///
-/// Variants cover the transaction lifecycle, token movement, the network,
-/// and crash recovery. The set is deliberately open-ended: renderers must
-/// treat unknown variants as opaque (match with a wildcard arm).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TelemetryEvent {
-    /// A submission entered the system at its initiating node.
-    Initiated {
-        /// Initiating node.
-        node: u32,
-        /// Fragment the transaction runs against.
-        fragment: u32,
-        /// The node-local transaction sequence number the submission runs
-        /// under — pairs initiation with the eventual `Committed` /
-        /// `Aborted` carrying the same `(node, txn_seq)`.
-        txn_seq: u64,
-    },
-    /// A quasi-transaction committed at the fragment's agent home.
-    Committed {
-        /// Causal id of the committed quasi-transaction.
-        cause: CausalId,
-        /// Agent home where the commit happened.
-        node: u32,
-        /// Node-local sequence of the committing transaction at its origin
-        /// — joins the commit back to its `Initiated` (and any
-        /// `LockWaitStarted`/`LockGranted` pair) for span reconstruction.
-        txn_seq: u64,
-    },
-    /// The committed quasi-transaction was broadcast to replicas.
-    BroadcastSent {
-        /// Causal id of the broadcast quasi-transaction.
-        cause: CausalId,
-        /// Broadcasting node (the agent home).
-        node: u32,
-        /// Number of recipients addressed.
-        recipients: u32,
-    },
-    /// A quasi-transaction was installed at a replica (the commit at the
-    /// agent home counts as that node's install, so fault-free each commit
-    /// joins to exactly R installs, R = replica count).
-    Installed {
-        /// Causal id of the installed quasi-transaction.
-        cause: CausalId,
-        /// Node the install happened at.
-        node: u32,
-    },
-    /// A transaction aborted.
-    Aborted {
-        /// Node at which the abort was decided.
-        node: u32,
-        /// Fragment of the aborted transaction.
-        fragment: u32,
-        /// Node-local sequence of the aborted transaction at its origin —
-        /// closes the `Initiated`/`LockWaitStarted` pair for spans.
-        txn_seq: u64,
-        /// Abort reason, matching the `abort.*` metric suffixes.
-        reason: &'static str,
-    },
-    /// A read ran at a node; records how far behind the agent it was.
-    ReadObserved {
-        /// Node that served the read.
-        node: u32,
-        /// Fragment read.
-        fragment: u32,
-        /// Highest update sequence installed at the reading node.
-        seen_seq: u64,
-        /// Agent's current update sequence (what a fresh read would see).
-        agent_seq: u64,
-    },
-    /// An out-of-order quasi-transaction was held back at a replica.
-    HeldBack {
-        /// Causal id of the held-back quasi-transaction — lets span
-        /// reconstruction split the replica hop into network time
-        /// (commit→arrival) and hold-back time (arrival→install).
-        cause: CausalId,
-        /// Node holding the update back.
-        node: u32,
-        /// Hold-back buffer depth after insertion.
-        depth: u64,
-    },
-    /// A §4.1 transaction began acquiring read/exclusive locks (2PC-style
-    /// lock-site round). Paired with `LockGranted` by `(node, txn_seq)`.
-    LockWaitStarted {
-        /// Home node of the acquiring transaction.
-        node: u32,
-        /// Fragment the transaction updates (or reads, for read-only).
-        fragment: u32,
-        /// Node-local sequence of the acquiring transaction.
-        txn_seq: u64,
-        /// Number of *remote* lock sites contacted (0 = all-local).
-        sites: u32,
-    },
-    /// All locks for the transaction are held; execution proceeds. Ends
-    /// the `LockWaitStarted` phase opened by the same `(node, txn_seq)`.
-    LockGranted {
-        /// Home node of the acquiring transaction.
-        node: u32,
-        /// Fragment the transaction updates (or reads, for read-only).
-        fragment: u32,
-        /// Node-local sequence of the acquiring transaction.
-        txn_seq: u64,
-    },
-    /// A submission queued behind a move / majority commit / 2PC.
-    SubmissionQueued {
-        /// Fragment whose queue grew.
-        fragment: u32,
-        /// Queue depth after insertion.
-        depth: u64,
-    },
-    /// A token (agent) move was requested.
-    MoveRequested {
-        /// Fragment whose token moves.
-        fragment: u32,
-        /// Current agent home.
-        from: u32,
-        /// Destination node.
-        to: u32,
-    },
-    /// The token finished moving: the destination is now the agent.
-    TokenArrived {
-        /// Fragment whose token arrived.
-        fragment: u32,
-        /// New agent home.
-        node: u32,
-    },
-    /// A move was deferred or abandoned (endpoint down, move in progress).
-    MoveAborted {
-        /// Fragment whose move did not start.
-        fragment: u32,
-        /// Agent home at the time of the request.
-        from: u32,
-        /// Requested destination.
-        to: u32,
-    },
-    /// The link layer dropped transmissions (fault injection or the
-    /// destination node being down).
-    Dropped {
-        /// Sender.
-        from: u32,
-        /// Intended receiver.
-        to: u32,
-        /// Number of transmissions lost in this batch.
-        count: u64,
-    },
-    /// The reliable layer retransmitted unacked packets.
-    Retransmit {
-        /// Sender.
-        from: u32,
-        /// Receiver.
-        to: u32,
-        /// Number of retransmissions in this batch.
-        count: u64,
-    },
-    /// An application message was released in order to its destination.
-    Delivered {
-        /// Sender.
-        from: u32,
-        /// Receiver.
-        to: u32,
-        /// Message kind (the envelope's wire name).
-        kind: &'static str,
-    },
-    /// A node crashed (volatile state lost; WAL survives).
-    Crash {
-        /// Crashed node.
-        node: u32,
-    },
-    /// A node recovered: the WAL was replayed into the store.
-    Recover {
-        /// Recovered node.
-        node: u32,
-        /// Fragments found divergent from the agents at recovery time.
-        behind_fragments: u64,
-    },
-    /// A recovered node finished catching up on every divergent fragment.
-    CatchupComplete {
-        /// Node whose catch-up completed.
-        node: u32,
-    },
-    /// A node's failure detector suspected a silent peer.
-    SuspectRaised {
-        /// Observing node (whose local detector raised the suspicion).
-        node: u32,
-        /// The suspected peer.
-        suspect: u32,
-    },
-    /// A quorum election started to re-home a suspected token.
-    ElectionStarted {
-        /// Fragment whose token is being re-homed.
-        fragment: u32,
-        /// The token epoch the election fences on.
-        epoch: u64,
-        /// The initiating node (and candidate new home).
-        candidate: u32,
-    },
-    /// An election reached a majority: the token re-homed under a new
-    /// epoch, fencing out the old home.
-    ElectionWon {
-        /// Fragment whose token re-homed.
-        fragment: u32,
-        /// The **new** (post-reattach) token epoch.
-        epoch: u64,
-        /// The winning node (new agent home).
-        node: u32,
-    },
-    /// An election round ended without re-homing the token.
-    ElectionAborted {
-        /// Fragment the round concerned.
-        fragment: u32,
-        /// The epoch the round fenced on.
-        epoch: u64,
-        /// Why: `"timeout"`, `"home_alive"`, `"superseded"`, or
-        /// `"candidate_crashed"`.
-        reason: &'static str,
-    },
-    /// Post-election §4.4.1 recovery finished: the elected home holds the
-    /// token and the fragment accepts writes again.
-    TokenRecovered {
-        /// Recovered fragment.
-        fragment: u32,
-        /// Epoch the fragment now runs under.
-        epoch: u64,
-        /// The elected home.
-        node: u32,
-    },
-    /// An open group-commit batch element was discarded by a home crash
-    /// before its broadcast; closes the causal id's lifecycle so the
-    /// commit→install join is not left dangling.
-    BatchDiscarded {
-        /// Causal id of the never-broadcast quasi-transaction.
-        cause: CausalId,
-        /// The crashed home that held the open batch.
-        node: u32,
-    },
-    /// A fragment's replica set changed size (allocator shrink toward the
-    /// configured replication factor, §6 partial replication).
-    ReplicaSetChanged {
-        /// Fragment whose replica set changed.
-        fragment: u32,
-        /// Replica count before the change.
-        from_count: u32,
-        /// Replica count after the change.
-        to_count: u32,
-    },
+/// Writes one field type as `,"key":value`.
+trait ToWire {
+    fn to_wire(&self, key: &str, out: &mut String);
 }
 
-impl TelemetryEvent {
-    /// The variant's stable wire name, used by the JSON-lines export and
-    /// the timeline renderer.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TelemetryEvent::Initiated { .. } => "initiated",
-            TelemetryEvent::Committed { .. } => "committed",
-            TelemetryEvent::BroadcastSent { .. } => "broadcast_sent",
-            TelemetryEvent::Installed { .. } => "installed",
-            TelemetryEvent::Aborted { .. } => "aborted",
-            TelemetryEvent::ReadObserved { .. } => "read_observed",
-            TelemetryEvent::HeldBack { .. } => "held_back",
-            TelemetryEvent::LockWaitStarted { .. } => "lock_wait_started",
-            TelemetryEvent::LockGranted { .. } => "lock_granted",
-            TelemetryEvent::SubmissionQueued { .. } => "submission_queued",
-            TelemetryEvent::MoveRequested { .. } => "move_requested",
-            TelemetryEvent::TokenArrived { .. } => "token_arrived",
-            TelemetryEvent::MoveAborted { .. } => "move_aborted",
-            TelemetryEvent::Dropped { .. } => "dropped",
-            TelemetryEvent::Retransmit { .. } => "retransmit",
-            TelemetryEvent::Delivered { .. } => "delivered",
-            TelemetryEvent::Crash { .. } => "crash",
-            TelemetryEvent::Recover { .. } => "recover",
-            TelemetryEvent::CatchupComplete { .. } => "catchup_complete",
-            TelemetryEvent::SuspectRaised { .. } => "suspect_raised",
-            TelemetryEvent::ElectionStarted { .. } => "election_started",
-            TelemetryEvent::ElectionWon { .. } => "election_won",
-            TelemetryEvent::ElectionAborted { .. } => "election_aborted",
-            TelemetryEvent::TokenRecovered { .. } => "token_recovered",
-            TelemetryEvent::BatchDiscarded { .. } => "batch_discarded",
-            TelemetryEvent::ReplicaSetChanged { .. } => "replica_set_changed",
+/// Reads back exactly what the type's [`ToWire`] wrote. `&'static str`
+/// has no impl: a word field names its registry lookup in the event table.
+trait FromWire: Sized {
+    fn from_wire(cur: &mut Cursor<'_>, key: &str) -> Result<Self, String>;
+}
+
+impl ToWire for u64 {
+    fn to_wire(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+}
+
+impl FromWire for u64 {
+    fn from_wire(cur: &mut Cursor<'_>, key: &str) -> Result<Self, String> {
+        cur.field(key)?;
+        cur.number(key)
+    }
+}
+
+impl ToWire for u32 {
+    fn to_wire(&self, key: &str, out: &mut String) {
+        u64::from(*self).to_wire(key, out);
+    }
+}
+
+impl FromWire for u32 {
+    fn from_wire(cur: &mut Cursor<'_>, key: &str) -> Result<Self, String> {
+        u32::try_from(u64::from_wire(cur, key)?).map_err(|_| format!("field {key:?} overflows u32"))
+    }
+}
+
+/// A causal id flattens to `fragment`/`epoch`/`frag_seq`, whatever the
+/// field is called.
+impl ToWire for CausalId {
+    fn to_wire(&self, _key: &str, out: &mut String) {
+        self.fragment.to_wire("fragment", out);
+        self.epoch.to_wire("epoch", out);
+        self.frag_seq.to_wire("frag_seq", out);
+    }
+}
+
+impl FromWire for CausalId {
+    fn from_wire(cur: &mut Cursor<'_>, _key: &str) -> Result<Self, String> {
+        Ok(CausalId {
+            fragment: u32::from_wire(cur, "fragment")?,
+            epoch: u64::from_wire(cur, "epoch")?,
+            frag_seq: u64::from_wire(cur, "frag_seq")?,
+        })
+    }
+}
+
+/// Word fields hold registered identifiers, so they need no escaping.
+impl ToWire for &'static str {
+    fn to_wire(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{self}\"");
+    }
+}
+
+/// Reads a line in the exact shape the encoder writes: fixed field order,
+/// no whitespace, no escapes.
+struct Cursor<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    /// Consume `,"key":`.
+    fn field(&mut self, key: &str) -> Result<(), String> {
+        self.rest = self
+            .rest
+            .strip_prefix(",\"")
+            .and_then(|r| r.strip_prefix(key))
+            .and_then(|r| r.strip_prefix("\":"))
+            .ok_or_else(|| format!("expected field {key:?} at {:?}", self.rest))?;
+        Ok(())
+    }
+
+    fn number(&mut self, key: &str) -> Result<u64, String> {
+        let end = self
+            .rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(self.rest.len());
+        let (digits, rest) = self.rest.split_at(end);
+        self.rest = rest;
+        digits
+            .parse()
+            .map_err(|_| format!("field {key:?} is not a u64"))
+    }
+
+    fn quoted(&mut self, key: &str) -> Result<&'a str, String> {
+        let (word, rest) = self
+            .rest
+            .strip_prefix('"')
+            .and_then(|r| r.split_once('"'))
+            .ok_or_else(|| format!("field {key:?} is not a string"))?;
+        self.rest = rest;
+        Ok(word)
+    }
+
+    /// Consume a `,"key":"word"` field whose word `vocab` registers.
+    fn word(
+        &mut self,
+        key: &str,
+        vocab: fn(&str) -> Option<&'static str>,
+    ) -> Result<&'static str, String> {
+        self.field(key)?;
+        let word = self.quoted(key)?;
+        vocab(word).ok_or_else(|| format!("unregistered {key} {word:?}"))
+    }
+}
+
+/// Decode one event field: through [`FromWire`], or through the named
+/// registry lookup for a word field.
+macro_rules! decode_field {
+    ($cur:ident, $field:ident: $ty:ty) => {
+        <$ty as FromWire>::from_wire($cur, stringify!($field))?
+    };
+    ($cur:ident, $field:ident: $ty:ty => $vocab:path) => {
+        $cur.word(stringify!($field), $vocab)?
+    };
+}
+
+/// Declares [`TelemetryEvent`] from one table of `Variant = "wire_name" {
+/// fields }` entries and generates its `name()` and its wire encoder and
+/// decoder from the same table. A word (`&'static str`) field names, after
+/// `=>`, the `metrics::keys` lookup that maps a decoded word back to its
+/// registered spelling.
+macro_rules! telemetry_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TelemetryEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $wire:literal {
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty $(=> $vocab:path)?
+                    ),+ $(,)?
+                }
+            ),+ $(,)?
         }
+    ) => {
+        $(#[$meta])*
+        pub enum TelemetryEvent {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $($(#[$fmeta])* $field: $ty,)+
+                },
+            )+
+        }
+
+        impl TelemetryEvent {
+            /// The variant's stable wire name, used by the JSON-lines export
+            /// and the timeline renderer.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TelemetryEvent::$variant { .. } => $wire,)+
+                }
+            }
+
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(TelemetryEvent::$variant { $($field),+ } => {
+                        $(ToWire::to_wire($field, stringify!($field), out);)+
+                    })+
+                }
+            }
+
+            fn read_fields(name: &str, cur: &mut Cursor<'_>) -> Result<Self, String> {
+                match name {
+                    $($wire => Ok(TelemetryEvent::$variant {
+                        $($field: decode_field!(cur, $field: $ty $(=> $vocab)?),)+
+                    }),)+
+                    _ => Err(format!("unknown event {name:?}")),
+                }
+            }
+        }
+    };
+}
+
+telemetry_events! {
+    /// One structured telemetry event.
+    ///
+    /// Variants cover the transaction lifecycle, token movement, the network,
+    /// and crash recovery. The set is deliberately open-ended: renderers must
+    /// treat unknown variants as opaque (match with a wildcard arm). Each
+    /// variant's fields encode in declaration order.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum TelemetryEvent {
+        /// A submission entered the system at its initiating node.
+        Initiated = "initiated" {
+            /// Initiating node.
+            node: u32,
+            /// Fragment the transaction runs against.
+            fragment: u32,
+            /// The node-local transaction sequence number the submission runs
+            /// under — pairs initiation with the eventual `Committed` /
+            /// `Aborted` carrying the same `(node, txn_seq)`.
+            txn_seq: u64,
+        },
+        /// A quasi-transaction committed at the fragment's agent home.
+        Committed = "committed" {
+            /// Causal id of the committed quasi-transaction.
+            cause: CausalId,
+            /// Agent home where the commit happened.
+            node: u32,
+            /// Node-local sequence of the committing transaction at its origin
+            /// — joins the commit back to its `Initiated` (and any
+            /// `LockWaitStarted`/`LockGranted` pair) for span reconstruction.
+            txn_seq: u64,
+        },
+        /// The committed quasi-transaction was broadcast to replicas.
+        BroadcastSent = "broadcast_sent" {
+            /// Causal id of the broadcast quasi-transaction.
+            cause: CausalId,
+            /// Broadcasting node (the agent home).
+            node: u32,
+            /// Number of recipients addressed.
+            recipients: u32,
+        },
+        /// A quasi-transaction was installed at a replica (the commit at the
+        /// agent home counts as that node's install, so fault-free each commit
+        /// joins to exactly R installs, R = replica count).
+        Installed = "installed" {
+            /// Causal id of the installed quasi-transaction.
+            cause: CausalId,
+            /// Node the install happened at.
+            node: u32,
+        },
+        /// A transaction aborted.
+        Aborted = "aborted" {
+            /// Node at which the abort was decided.
+            node: u32,
+            /// Fragment of the aborted transaction.
+            fragment: u32,
+            /// Node-local sequence of the aborted transaction at its origin —
+            /// closes the `Initiated`/`LockWaitStarted` pair for spans.
+            txn_seq: u64,
+            /// Abort reason, matching the `abort.*` metric suffixes.
+            reason: &'static str => keys::abort_reason,
+        },
+        /// A read ran at a node; records how far behind the agent it was.
+        ReadObserved = "read_observed" {
+            /// Node that served the read.
+            node: u32,
+            /// Fragment read.
+            fragment: u32,
+            /// Highest update sequence installed at the reading node.
+            seen_seq: u64,
+            /// Agent's current update sequence (what a fresh read would see).
+            agent_seq: u64,
+        },
+        /// An out-of-order quasi-transaction was held back at a replica.
+        HeldBack = "held_back" {
+            /// Causal id of the held-back quasi-transaction — lets span
+            /// reconstruction split the replica hop into network time
+            /// (commit→arrival) and hold-back time (arrival→install).
+            cause: CausalId,
+            /// Node holding the update back.
+            node: u32,
+            /// Hold-back buffer depth after insertion.
+            depth: u64,
+        },
+        /// A §4.1 transaction began acquiring read/exclusive locks (2PC-style
+        /// lock-site round). Paired with `LockGranted` by `(node, txn_seq)`.
+        LockWaitStarted = "lock_wait_started" {
+            /// Home node of the acquiring transaction.
+            node: u32,
+            /// Fragment the transaction updates (or reads, for read-only).
+            fragment: u32,
+            /// Node-local sequence of the acquiring transaction.
+            txn_seq: u64,
+            /// Number of *remote* lock sites contacted (0 = all-local).
+            sites: u32,
+        },
+        /// All locks for the transaction are held; execution proceeds. Ends
+        /// the `LockWaitStarted` phase opened by the same `(node, txn_seq)`.
+        LockGranted = "lock_granted" {
+            /// Home node of the acquiring transaction.
+            node: u32,
+            /// Fragment the transaction updates (or reads, for read-only).
+            fragment: u32,
+            /// Node-local sequence of the acquiring transaction.
+            txn_seq: u64,
+        },
+        /// A submission queued behind a move / majority commit / 2PC.
+        SubmissionQueued = "submission_queued" {
+            /// Fragment whose queue grew.
+            fragment: u32,
+            /// Queue depth after insertion.
+            depth: u64,
+        },
+        /// A token (agent) move was requested.
+        MoveRequested = "move_requested" {
+            /// Fragment whose token moves.
+            fragment: u32,
+            /// Current agent home.
+            from: u32,
+            /// Destination node.
+            to: u32,
+        },
+        /// The token finished moving: the destination is now the agent.
+        TokenArrived = "token_arrived" {
+            /// Fragment whose token arrived.
+            fragment: u32,
+            /// New agent home.
+            node: u32,
+        },
+        /// A move was deferred or abandoned (endpoint down, move in progress).
+        MoveAborted = "move_aborted" {
+            /// Fragment whose move did not start.
+            fragment: u32,
+            /// Agent home at the time of the request.
+            from: u32,
+            /// Requested destination.
+            to: u32,
+        },
+        /// The link layer dropped transmissions (fault injection or the
+        /// destination node being down).
+        Dropped = "dropped" {
+            /// Sender.
+            from: u32,
+            /// Intended receiver.
+            to: u32,
+            /// Number of transmissions lost in this batch.
+            count: u64,
+        },
+        /// The reliable layer retransmitted unacked packets.
+        Retransmit = "retransmit" {
+            /// Sender.
+            from: u32,
+            /// Receiver.
+            to: u32,
+            /// Number of retransmissions in this batch.
+            count: u64,
+        },
+        /// An application message was released in order to its destination.
+        Delivered = "delivered" {
+            /// Sender.
+            from: u32,
+            /// Receiver.
+            to: u32,
+            /// Message kind (the envelope's wire name).
+            kind: &'static str => keys::msg_kind,
+        },
+        /// A node crashed (volatile state lost; WAL survives).
+        Crash = "crash" {
+            /// Crashed node.
+            node: u32,
+        },
+        /// A node recovered: the WAL was replayed into the store.
+        Recover = "recover" {
+            /// Recovered node.
+            node: u32,
+            /// Fragments found divergent from the agents at recovery time.
+            behind_fragments: u64,
+        },
+        /// A recovered node finished catching up on every divergent fragment.
+        CatchupComplete = "catchup_complete" {
+            /// Node whose catch-up completed.
+            node: u32,
+        },
+        /// A node's failure detector suspected a silent peer.
+        SuspectRaised = "suspect_raised" {
+            /// Observing node (whose local detector raised the suspicion).
+            node: u32,
+            /// The suspected peer.
+            suspect: u32,
+        },
+        /// A quorum election started to re-home a suspected token.
+        ElectionStarted = "election_started" {
+            /// Fragment whose token is being re-homed.
+            fragment: u32,
+            /// The token epoch the election fences on.
+            epoch: u64,
+            /// The initiating node (and candidate new home).
+            candidate: u32,
+        },
+        /// An election reached a majority: the token re-homed under a new
+        /// epoch, fencing out the old home.
+        ElectionWon = "election_won" {
+            /// Fragment whose token re-homed.
+            fragment: u32,
+            /// The **new** (post-reattach) token epoch.
+            epoch: u64,
+            /// The winning node (new agent home).
+            node: u32,
+        },
+        /// An election round ended without re-homing the token.
+        ElectionAborted = "election_aborted" {
+            /// Fragment the round concerned.
+            fragment: u32,
+            /// The epoch the round fenced on.
+            epoch: u64,
+            /// Why: one of [`keys::ELECTION_ABORT_REASONS`] —
+            /// [`keys::ELECTION_ABORT_TIMEOUT`],
+            /// [`keys::ELECTION_ABORT_HOME_ALIVE`],
+            /// [`keys::ELECTION_ABORT_SUPERSEDED`], or
+            /// [`keys::ELECTION_ABORT_CANDIDATE_CRASHED`].
+            reason: &'static str => keys::election_abort_reason,
+        },
+        /// Post-election §4.4.1 recovery finished: the elected home holds the
+        /// token and the fragment accepts writes again.
+        TokenRecovered = "token_recovered" {
+            /// Recovered fragment.
+            fragment: u32,
+            /// Epoch the fragment now runs under.
+            epoch: u64,
+            /// The elected home.
+            node: u32,
+        },
+        /// An open group-commit batch element was discarded by a home crash
+        /// before its broadcast; closes the causal id's lifecycle so the
+        /// commit→install join is not left dangling.
+        BatchDiscarded = "batch_discarded" {
+            /// Causal id of the never-broadcast quasi-transaction.
+            cause: CausalId,
+            /// The crashed home that held the open batch.
+            node: u32,
+        },
+        /// A fragment's replica set changed size (allocator shrink toward the
+        /// configured replication factor, §6 partial replication).
+        ReplicaSetChanged = "replica_set_changed" {
+            /// Fragment whose replica set changed.
+            fragment: u32,
+            /// Replica count before the change.
+            from_count: u32,
+            /// Replica count after the change.
+            to_count: u32,
+        },
     }
 }
 
@@ -336,213 +500,81 @@ pub struct TelemetryRecord {
     pub event: TelemetryEvent,
 }
 
-fn push_field(out: &mut String, key: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":\"");
-    // All emitted strings are static identifiers; escape defensively anyway.
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_cause(out: &mut String, cause: &CausalId) {
-    push_field(out, "fragment", u64::from(cause.fragment));
-    push_field(out, "epoch", cause.epoch);
-    push_field(out, "frag_seq", cause.frag_seq);
-}
-
 impl TelemetryRecord {
-    /// Hand-rolled JSON-lines encoding (no serde in this offline build).
-    ///
-    /// One flat object per line: `at_micros`, `event`, then the variant's
+    /// One flat JSON object: `at_micros`, `event`, then the variant's
     /// fields. Causal ids flatten to `fragment`/`epoch`/`frag_seq`.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str("{\"at_micros\":");
-        out.push_str(&self.at.micros().to_string());
-        out.push_str(",\"event\":\"");
-        out.push_str(self.event.name());
-        out.push('"');
-        match &self.event {
-            TelemetryEvent::Initiated {
-                node,
-                fragment,
-                txn_seq,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-            }
-            TelemetryEvent::Committed {
-                cause,
-                node,
-                txn_seq,
-            } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "txn_seq", *txn_seq);
-            }
-            TelemetryEvent::BroadcastSent {
-                cause,
-                node,
-                recipients,
-            } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "recipients", u64::from(*recipients));
-            }
-            TelemetryEvent::Installed { cause, node } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::Aborted {
-                node,
-                fragment,
-                txn_seq,
-                reason,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-                push_str_field(&mut out, "reason", reason);
-            }
-            TelemetryEvent::ReadObserved {
-                node,
-                fragment,
-                seen_seq,
-                agent_seq,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "seen_seq", *seen_seq);
-                push_field(&mut out, "agent_seq", *agent_seq);
-            }
-            TelemetryEvent::HeldBack { cause, node, depth } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "depth", *depth);
-            }
-            TelemetryEvent::LockWaitStarted {
-                node,
-                fragment,
-                txn_seq,
-                sites,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-                push_field(&mut out, "sites", u64::from(*sites));
-            }
-            TelemetryEvent::LockGranted {
-                node,
-                fragment,
-                txn_seq,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "txn_seq", *txn_seq);
-            }
-            TelemetryEvent::SubmissionQueued { fragment, depth } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "depth", *depth);
-            }
-            TelemetryEvent::MoveRequested { fragment, from, to }
-            | TelemetryEvent::MoveAborted { fragment, from, to } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "from", u64::from(*from));
-                push_field(&mut out, "to", u64::from(*to));
-            }
-            TelemetryEvent::TokenArrived { fragment, node } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::Dropped { from, to, count }
-            | TelemetryEvent::Retransmit { from, to, count } => {
-                push_field(&mut out, "from", u64::from(*from));
-                push_field(&mut out, "to", u64::from(*to));
-                push_field(&mut out, "count", *count);
-            }
-            TelemetryEvent::Delivered { from, to, kind } => {
-                push_field(&mut out, "from", u64::from(*from));
-                push_field(&mut out, "to", u64::from(*to));
-                push_str_field(&mut out, "kind", kind);
-            }
-            TelemetryEvent::Crash { node } | TelemetryEvent::CatchupComplete { node } => {
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::Recover {
-                node,
-                behind_fragments,
-            } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "behind_fragments", *behind_fragments);
-            }
-            TelemetryEvent::SuspectRaised { node, suspect } => {
-                push_field(&mut out, "node", u64::from(*node));
-                push_field(&mut out, "suspect", u64::from(*suspect));
-            }
-            TelemetryEvent::ElectionStarted {
-                fragment,
-                epoch,
-                candidate,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "epoch", *epoch);
-                push_field(&mut out, "candidate", u64::from(*candidate));
-            }
-            TelemetryEvent::ElectionWon {
-                fragment,
-                epoch,
-                node,
-            }
-            | TelemetryEvent::TokenRecovered {
-                fragment,
-                epoch,
-                node,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "epoch", *epoch);
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::ElectionAborted {
-                fragment,
-                epoch,
-                reason,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "epoch", *epoch);
-                push_str_field(&mut out, "reason", reason);
-            }
-            TelemetryEvent::BatchDiscarded { cause, node } => {
-                push_cause(&mut out, cause);
-                push_field(&mut out, "node", u64::from(*node));
-            }
-            TelemetryEvent::ReplicaSetChanged {
-                fragment,
-                from_count,
-                to_count,
-            } => {
-                push_field(&mut out, "fragment", u64::from(*fragment));
-                push_field(&mut out, "from_count", u64::from(*from_count));
-                push_field(&mut out, "to_count", u64::from(*to_count));
-            }
-        }
+        let _ = write!(
+            out,
+            "{{\"at_micros\":{},\"event\":\"{}\"",
+            self.at.micros(),
+            self.event.name()
+        );
+        self.event.write_fields(&mut out);
         out.push('}');
         out
     }
+
+    /// The inverse of [`TelemetryRecord::to_json_line`]: accepts exactly
+    /// the lines it emits. A known event with its fields in declaration
+    /// order and registered words is decoded, and the result must then
+    /// re-encode to the input byte for byte — so duplicate, missing,
+    /// extra, or reordered fields, unknown events and non-canonical
+    /// numbers are all rejected.
+    pub fn from_json_line(line: &str) -> Result<TelemetryRecord, String> {
+        let mut cur = Cursor {
+            rest: line
+                .strip_prefix("{\"at_micros\":")
+                .ok_or("expected a record starting {\"at_micros\":")?,
+        };
+        let at = SimTime(cur.number("at_micros")?);
+        cur.field("event")?;
+        let name = cur.quoted("event")?;
+        let event = TelemetryEvent::read_fields(name, &mut cur)?;
+        if cur.rest != "}" {
+            return Err(format!("unexpected trailing input {:?}", cur.rest));
+        }
+        let record = TelemetryRecord { at, event };
+        if record.to_json_line() != line {
+            return Err(format!(
+                "not canonical: re-encodes as {}",
+                record.to_json_line()
+            ));
+        }
+        Ok(record)
+    }
+}
+
+/// Render records as JSON lines, oldest first, preceded by a drop-marker
+/// comment line when `dropped` earlier events were evicted. The marker
+/// uses `#` so a JSONL consumer can skip it unambiguously.
+pub fn render_jsonl<'a>(
+    records: impl IntoIterator<Item = &'a TelemetryRecord>,
+    dropped: u64,
+) -> String {
+    let mut out = String::new();
+    if dropped > 0 {
+        let _ = writeln!(out, "# {dropped} earlier events dropped");
+    }
+    for r in records {
+        out.push_str(&r.to_json_line());
+        out.push('\n');
+    }
+    out
+}
+
+/// Parse a JSON-lines export back into records. Blank lines and `#`
+/// comment lines are skipped; every other line must be exactly what
+/// [`TelemetryRecord::to_json_line`] emits.
+pub fn parse_jsonl(text: &str) -> Result<Vec<TelemetryRecord>, String> {
+    (1..)
+        .zip(text.lines())
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(n, line)| {
+            TelemetryRecord::from_json_line(line).map_err(|e| format!("line {n}: {e}"))
+        })
+        .collect()
 }
 
 /// Interning cache for dimensioned metric keys (`frag.3.lag`,
@@ -696,7 +728,7 @@ impl Probes {
             // window open for the retry.
             TelemetryEvent::ElectionAborted {
                 fragment,
-                reason: "home_alive",
+                reason: keys::ELECTION_ABORT_HOME_ALIVE,
                 ..
             } => {
                 self.unavail_started.remove(fragment);
@@ -813,19 +845,10 @@ impl Telemetry {
         &self.probes
     }
 
-    /// Render the retained events as JSON lines, newest last, preceded by a
-    /// drop-marker comment line when the buffer wrapped. The marker uses
-    /// `#` so a JSONL consumer can skip it unambiguously.
+    /// Render the retained events as JSON lines ([`render_jsonl`]), with
+    /// the drop marker when the buffer wrapped.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        if self.dropped > 0 {
-            out.push_str(&format!("# {} earlier events dropped\n", self.dropped));
-        }
-        for r in &self.events {
-            out.push_str(&r.to_json_line());
-            out.push('\n');
-        }
-        out
+        render_jsonl(&self.events, self.dropped)
     }
 }
 
@@ -1033,7 +1056,7 @@ mod tests {
             TelemetryEvent::ElectionAborted {
                 fragment: 0,
                 epoch: 3,
-                reason: "timeout",
+                reason: keys::ELECTION_ABORT_TIMEOUT,
             },
             &mut m,
         );
@@ -1074,7 +1097,7 @@ mod tests {
             TelemetryEvent::ElectionAborted {
                 fragment: 0,
                 epoch: 4,
-                reason: "home_alive",
+                reason: keys::ELECTION_ABORT_HOME_ALIVE,
             },
             &mut m,
         );
@@ -1136,7 +1159,7 @@ mod tests {
             event: TelemetryEvent::ElectionAborted {
                 fragment: 3,
                 epoch: 2,
-                reason: "home_alive",
+                reason: keys::ELECTION_ABORT_HOME_ALIVE,
             },
         };
         assert_eq!(
@@ -1229,8 +1252,189 @@ mod tests {
         assert_eq!(m.histogram("node.1.staleness").unwrap().count(), 49);
     }
 
+    /// One event of every variant, with distinct field values.
+    fn one_of_each() -> Vec<TelemetryEvent> {
+        use TelemetryEvent::*;
+        let c = CausalId {
+            fragment: 3,
+            epoch: 2,
+            frag_seq: u64::MAX,
+        };
+        vec![
+            Initiated {
+                node: 1,
+                fragment: 2,
+                txn_seq: 3,
+            },
+            Committed {
+                cause: c,
+                node: 4,
+                txn_seq: 5,
+            },
+            BroadcastSent {
+                cause: c,
+                node: 4,
+                recipients: 6,
+            },
+            Installed { cause: c, node: 7 },
+            Aborted {
+                node: 1,
+                fragment: 2,
+                txn_seq: 3,
+                reason: "unavailable",
+            },
+            ReadObserved {
+                node: 1,
+                fragment: 2,
+                seen_seq: 3,
+                agent_seq: 4,
+            },
+            HeldBack {
+                cause: c,
+                node: 5,
+                depth: 6,
+            },
+            LockWaitStarted {
+                node: 1,
+                fragment: 2,
+                txn_seq: 3,
+                sites: 4,
+            },
+            LockGranted {
+                node: 1,
+                fragment: 2,
+                txn_seq: 3,
+            },
+            SubmissionQueued {
+                fragment: 2,
+                depth: 3,
+            },
+            MoveRequested {
+                fragment: 1,
+                from: 2,
+                to: 3,
+            },
+            TokenArrived {
+                fragment: 1,
+                node: 3,
+            },
+            MoveAborted {
+                fragment: 1,
+                from: 2,
+                to: 3,
+            },
+            Dropped {
+                from: 1,
+                to: 2,
+                count: 3,
+            },
+            Retransmit {
+                from: 1,
+                to: 2,
+                count: 3,
+            },
+            Delivered {
+                from: 1,
+                to: 2,
+                kind: "vote_req",
+            },
+            Crash { node: u32::MAX },
+            Recover {
+                node: 1,
+                behind_fragments: 2,
+            },
+            CatchupComplete { node: 1 },
+            SuspectRaised {
+                node: 1,
+                suspect: 0,
+            },
+            ElectionStarted {
+                fragment: 1,
+                epoch: 2,
+                candidate: 3,
+            },
+            ElectionWon {
+                fragment: 1,
+                epoch: 3,
+                node: 3,
+            },
+            ElectionAborted {
+                fragment: 1,
+                epoch: 2,
+                reason: keys::ELECTION_ABORT_CANDIDATE_CRASHED,
+            },
+            TokenRecovered {
+                fragment: 1,
+                epoch: 3,
+                node: 3,
+            },
+            BatchDiscarded { cause: c, node: 4 },
+            ReplicaSetChanged {
+                fragment: 1,
+                from_count: 8,
+                to_count: 3,
+            },
+        ]
+    }
+
     #[test]
-    fn json_lines_are_flat_and_escaped() {
+    fn every_variant_round_trips_through_the_wire_form() {
+        let events = one_of_each();
+        let names: std::collections::BTreeSet<&str> = events.iter().map(|e| e.name()).collect();
+        assert_eq!(names.len(), 26, "one event per variant");
+        let records: Vec<TelemetryRecord> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TelemetryRecord {
+                at: SimTime(10 * i as u64),
+                event,
+            })
+            .collect();
+        for r in &records {
+            assert_eq!(
+                TelemetryRecord::from_json_line(&r.to_json_line()),
+                Ok(r.clone())
+            );
+        }
+        let text = render_jsonl(&records, 7);
+        assert!(text.starts_with("# 7 earlier events dropped\n"));
+        assert_eq!(parse_jsonl(&text), Ok(records));
+    }
+
+    #[test]
+    fn decoder_accepts_only_what_the_encoder_emits() {
+        let ok = "{\"at_micros\":5,\"event\":\"submission_queued\",\"fragment\":7,\"depth\":1}";
+        assert!(TelemetryRecord::from_json_line(ok).is_ok());
+        for bad in [
+            "",
+            "not json",
+            "{\"event\":\"crash\",\"node\":1}",
+            "{\"at_micros\":x,\"event\":\"crash\",\"node\":1}",
+            "{\"at_micros\":5,\"event\":\"mystery\"}",
+            // Missing, extra, duplicated and reordered fields.
+            "{\"at_micros\":5,\"event\":\"submission_queued\",\"fragment\":7}",
+            "{\"at_micros\":5,\"event\":\"crash\",\"node\":1,\"x\":3}",
+            "{\"at_micros\":5,\"event\":\"crash\",\"node\":1,\"node\":1}",
+            "{\"at_micros\":5,\"event\":\"token_arrived\",\"node\":1,\"fragment\":7}",
+            // Non-canonical numbers, whitespace, out-of-range ids.
+            "{\"at_micros\":05,\"event\":\"crash\",\"node\":1}",
+            "{\"at_micros\":5,\"event\":\"crash\",\"node\":+1}",
+            "{\"at_micros\":5, \"event\":\"crash\",\"node\":1}",
+            "{\"at_micros\":5,\"event\":\"crash\",\"node\":4294967296}",
+            // Words outside their registry, including another field's.
+            "{\"at_micros\":5,\"event\":\"aborted\",\"node\":1,\"fragment\":3,\"txn_seq\":0,\"reason\":\"node_down\"}",
+            "{\"at_micros\":5,\"event\":\"aborted\",\"node\":1,\"fragment\":3,\"txn_seq\":0,\"reason\":\"timeout\"}",
+            "{\"at_micros\":5,\"event\":\"delivered\",\"from\":1,\"to\":2,\"kind\":\"qu\\\"asi\"}",
+        ] {
+            assert!(TelemetryRecord::from_json_line(bad).is_err(), "accepted {bad}");
+        }
+        // Line numbers count comments and blanks.
+        let err = parse_jsonl(&format!("# header\n\n{ok}\n{{}}\n")).unwrap_err();
+        assert!(err.starts_with("line 4:"), "{err}");
+    }
+
+    #[test]
+    fn json_lines_are_flat() {
         let r = TelemetryRecord {
             at: SimTime::from_millis(5),
             event: TelemetryEvent::Delivered {

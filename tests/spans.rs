@@ -1,8 +1,9 @@
 //! Span-reconstruction acceptance tests (the `fragdb-obs` layer).
 //!
 //! * Determinism: two seed-42 chaos runs produce **byte-identical**
-//!   folded-stack output, and reconstructing from the JSONL export gives
-//!   the same bytes as reconstructing from the in-memory stream.
+//!   folded-stack output, and for every trace scenario reconstructing
+//!   from the JSONL export gives the same bytes as reconstructing from
+//!   the in-memory stream; every exported record decodes back to itself.
 //! * R-join property: fault-free, every reconstructed span is complete
 //!   with exactly R install legs (R = replica count; the home leg rides
 //!   at net = 0).
@@ -15,8 +16,9 @@ use fragdb::core::{Submission, System, SystemConfig};
 use fragdb::harness::trace::{self, UNRESTRICTED_FAULTS};
 use fragdb::model::{AgentId, FragmentCatalog, NodeId, UserId};
 use fragdb::net::Topology;
-use fragdb::obs::{folded, validate_folded, SpanReport, SpanStatus};
-use fragdb::sim::{SimDuration, SimTime, Telemetry};
+use fragdb::obs::{folded, span_lines, validate_folded, SpanReport, SpanStatus};
+use fragdb::sim::telemetry::parse_jsonl;
+use fragdb::sim::{SimDuration, SimTime, Telemetry, TelemetryRecord};
 
 const SEED: u64 = 42;
 
@@ -127,24 +129,42 @@ fn folded_output_is_byte_identical_across_replays() {
 
 #[test]
 fn jsonl_export_replays_to_the_same_spans_as_the_live_stream() {
-    let run = trace::run_scenario(UNRESTRICTED_FAULTS, SEED, true).unwrap();
-    let live = SpanReport::from_records(run.records.iter());
-    let exported = trace::render_jsonl(&run);
-    let replayed = SpanReport::from_jsonl(&exported).expect("export parses");
-    assert_eq!(live.len(), replayed.len());
-    assert_eq!(live.truncated, replayed.truncated);
-    assert_eq!(live.complete, replayed.complete);
-    assert_eq!(
-        folded(&live),
-        folded(&replayed),
-        "reconstruction must be pure over the JSONL export"
-    );
-    for (a, b) in live.spans.iter().zip(replayed.spans.iter()) {
-        assert_eq!(a.cause, b.cause);
-        assert_eq!(a.queue_us, b.queue_us);
-        assert_eq!(a.lock_wait_us, b.lock_wait_us);
-        assert_eq!(a.exec_us, b.exec_us);
-        assert_eq!(a.legs.len(), b.legs.len());
+    for name in trace::SCENARIOS {
+        let run = trace::run_scenario(name, SEED, true).unwrap();
+        let live = SpanReport::from_records(run.records.iter());
+        let exported = trace::render_jsonl(&run);
+        let replayed = SpanReport::from_jsonl(&exported).expect("export parses");
+        assert_eq!(live.len(), replayed.len(), "{name}");
+        assert_eq!(live.truncated, replayed.truncated, "{name}");
+        assert_eq!(live.complete, replayed.complete, "{name}");
+        assert_eq!(
+            folded(&live),
+            folded(&replayed),
+            "{name}: reconstruction must be pure over the JSONL export"
+        );
+        assert_eq!(
+            span_lines(&live),
+            span_lines(&replayed),
+            "{name}: every span must replay identically"
+        );
+    }
+}
+
+#[test]
+fn every_scenario_record_decodes_back_to_itself() {
+    for name in trace::SCENARIOS {
+        let run = trace::run_scenario(name, SEED, true).unwrap();
+        assert!(!run.records.is_empty(), "{name}");
+        for r in &run.records {
+            let line = r.to_json_line();
+            assert_eq!(
+                TelemetryRecord::from_json_line(&line).as_ref(),
+                Ok(r),
+                "{name}: {line}"
+            );
+        }
+        let decoded = parse_jsonl(&trace::render_jsonl(&run)).expect("export parses");
+        assert_eq!(decoded, run.records, "{name}");
     }
 }
 
